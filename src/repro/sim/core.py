@@ -22,44 +22,31 @@ comparison at dispatch:
   event triggers, store grants, process completions.  The clock never moves
   backwards and sequence numbers only grow, so entries are appended in
   exactly the order they would leave a heap: FIFO *is* sorted order.
-* a **far lane** for everything else (timeouts, urgent bootstraps),
-  implemented either as a binary heap or as a
-  :class:`~repro.sim.calqueue.CalendarQueue`, selected by
-  ``Environment(scheduler=...)``.
+* a **far lane** for everything else (timeouts, urgent bootstraps): a
+  plain ``heapq`` list.  The inlined push sites call ``heappush(env._far,
+  entry)`` directly.
 
 Because the merge compares full ``(time, priority, sequence)`` keys, the
 dispatch order is identical no matter which lane an entry landed in — the
-split is purely a performance device, and both schedulers reproduce the
-pinned schedule fingerprints bit-for-bit.
+split is purely a performance device.  Installing a :class:`TieBreakPolicy`
+moves both lanes into the one heap the policy loop consumes (DESIGN.md §16).
 """
 
 from __future__ import annotations
 
 import gc as _gc
-import heapq
-import os as _os
 from collections import deque
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 from typing import Any, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.calqueue import CalendarQueue
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
-__all__ = ["Environment", "Infinity", "TieBreakPolicy", "DEFAULT_SCHEDULER", "SCHEDULERS"]
+__all__ = ["Environment", "Infinity", "TieBreakPolicy"]
 
 #: Convenience alias used for "run forever" bounds.
 Infinity = float("inf")
-
-#: Recognized values for ``Environment(scheduler=...)``.
-SCHEDULERS = ("heap", "calendar")
-
-#: Scheduler used when neither the constructor argument nor the
-#: ``REPRO_SCHEDULER`` environment variable says otherwise.  ``calendar``
-#: is the default: it reproduces every pinned schedule fingerprint
-#: bit-for-bit and wins the wallclock matrix (BENCH_wallclock.json).
-DEFAULT_SCHEDULER = "calendar"
 
 
 class TieBreakPolicy:
@@ -89,25 +76,16 @@ class TieBreakPolicy:
 
 
 class _HeapLanes:
-    """Lane stand-in that routes every push into one binary heap.
+    """Zero-delay lane stand-in while a :class:`TieBreakPolicy` is installed.
 
-    Used in two situations: as both lane slots of a
-    ``scheduler="heap"`` environment (the legacy single-heap agenda the
-    calendar scheduler replaces), and while a :class:`TieBreakPolicy` is
-    installed — the policy slow path needs every pending entry in one
-    structure so it can materialize equal-``(time, priority)`` ready
-    sets.  Either way, the inlined push sites (which call ``_dq.append``
-    / ``_far.push``) land straight in the heap that the legacy run loop
-    and :meth:`Environment._pop_choice` consume.
+    The policy loop needs every pending entry in one heap so it can
+    materialize equal-``(time, priority)`` ready sets; the far lane *is*
+    that heap.  This shim takes the zero-delay lane's slot so the inlined
+    ``_dq.append`` push sites land in the heap too.  It holds nothing
+    itself, hence the zero length.
     """
 
     __slots__ = ("_queue",)
-
-    #: CalendarQueue interface stub: ``Timeout.__init__`` inlines the
-    #: calendar's current-run fast path behind a ``when < _bucket_top``
-    #: test; -inf makes that test always false here, so every timeout
-    #: falls through to the generic :meth:`push` (the heap).
-    _bucket_top = float("-inf")
 
     def __init__(self, queue: list):
         self._queue = queue
@@ -115,7 +93,8 @@ class _HeapLanes:
     def append(self, entry) -> None:
         _heappush(self._queue, entry)
 
-    push = append
+    def __len__(self) -> int:
+        return 0
 
 
 class Environment:
@@ -127,11 +106,6 @@ class Environment:
         Starting value of the simulation clock.  The library uses seconds
         as the unit convention throughout (latencies are reported in
         microseconds by dividing at the edges).
-    scheduler:
-        ``"heap"`` or ``"calendar"`` — the far-lane structure.  ``None``
-        (the default) resolves the ``REPRO_SCHEDULER`` environment
-        variable, then :data:`DEFAULT_SCHEDULER`.  Both schedulers
-        dispatch the exact same ``(time, priority, sequence)`` order.
     """
 
     #: Priority for ordinary events.
@@ -145,12 +119,9 @@ class Environment:
     # scale.  ``tracer`` and ``audit`` are the two attributes external
     # modules attach (install_tracer / install_audit).
     __slots__ = (
-        "_scheduler",
-        "_lanes",
         "_now",
         "_dq",
         "_far",
-        "_queue",
         "_eid",
         "_active_process",
         "_tiebreak",
@@ -158,27 +129,12 @@ class Environment:
         "audit",
     )
 
-    def __init__(self, initial_time: float = 0.0, scheduler: Optional[str] = None):
-        if scheduler is None:
-            scheduler = _os.environ.get("REPRO_SCHEDULER") or DEFAULT_SCHEDULER
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r} (choose from {SCHEDULERS})"
-            )
-        self._scheduler = scheduler
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        # Single-heap agenda: the whole agenda under ``scheduler="heap"``
-        # and whenever a TieBreakPolicy is installed; empty otherwise.
-        self._queue: list[tuple[float, int, int, Event]] = []
-        # The two lanes.  Under "calendar" they are a real deque plus a
-        # CalendarQueue; under "heap" both slots are one _HeapLanes shim
-        # so every push lands in the legacy heap.
-        self._lanes = scheduler == "calendar"
-        if self._lanes:
-            self._dq: Any = deque()
-            self._far: Any = CalendarQueue(self._now)
-        else:
-            self._dq = self._far = _HeapLanes(self._queue)
+        # The two lanes: zero-delay NORMAL entries in FIFO order, and a
+        # heapq list for everything else.
+        self._dq: Any = deque()
+        self._far: list[tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
         # Optional TieBreakPolicy consulted on equal-(time, priority)
@@ -199,11 +155,6 @@ class Environment:
         return self._now
 
     @property
-    def scheduler(self) -> str:
-        """Which far-lane structure this environment runs on."""
-        return self._scheduler
-
-    @property
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
@@ -218,53 +169,39 @@ class Environment:
         if delay == 0.0 and priority == 1:
             self._dq.append((self._now, 1, self._eid, event))
         else:
-            self._far.push((self._now + delay, priority, self._eid, event))
+            _heappush(self._far, (self._now + delay, priority, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``Infinity`` if none."""
-        if self._tiebreak is not None or not self._lanes:
-            return self._queue[0][0] if self._queue else Infinity
-        head = self._far.head
         dq = self._dq
+        far = self._far
         if dq:
             when = dq[0][0]
-            return when if head is None or when < head[0] else head[0]
-        return head[0] if head is not None else Infinity
+            return when if not far or when < far[0][0] else far[0][0]
+        return far[0][0] if far else Infinity
 
     def _pending(self) -> int:
-        """Number of agenda entries across all lanes."""
-        if self._tiebreak is not None or not self._lanes:
-            return len(self._queue)
+        """Number of agenda entries across both lanes."""
         return len(self._dq) + len(self._far)
 
     def set_tiebreak(self, policy: Optional[TieBreakPolicy]) -> None:
         """Install (or clear) the equal-timestamp tie-break policy.
 
-        Installing a policy migrates both lanes into the legacy single
-        heap the policy loop consumes (entries keep their original
-        ``(time, priority, sequence)`` keys, so a policy that always
-        answers 0 reproduces the native order bit-for-bit); clearing it
-        migrates the pending entries back into the lanes.
-
-        Under ``scheduler="heap"`` there is nothing to migrate: the
-        agenda already is the single heap the policy loop consumes.
+        Call it between runs, not from inside an event callback.
+        Installing a policy moves both lanes into one heap, which becomes
+        the far lane (entries keep their original ``(time, priority,
+        sequence)`` keys, so a policy that always answers 0 reproduces
+        the native order bit-for-bit).  Clearing it keeps that heap as
+        the far lane, which it already is, and restores an empty
+        zero-delay lane.
         """
-        if self._lanes:
-            if policy is not None:
-                if self._tiebreak is None:
-                    entries = list(self._dq)
-                    entries.extend(self._far._entries())
-                    heapq.heapify(entries)
-                    self._queue = entries
-                    self._dq = self._far = _HeapLanes(entries)
-            elif self._tiebreak is not None:
-                entries = sorted(self._queue)
-                self._queue = []
-                self._dq = deque()
-                far = CalendarQueue(self._now)
-                for entry in entries:
-                    far.push(entry)
-                self._far = far
+        if policy is not None and self._tiebreak is None:
+            far = list(self._dq) + self._far
+            _heapify(far)
+            self._far = far
+            self._dq = _HeapLanes(far)
+        elif policy is None and self._tiebreak is not None:
+            self._dq = deque()
         self._tiebreak = policy
 
     def _pop_choice(self) -> tuple[float, int, int, Event]:
@@ -275,55 +212,38 @@ class Environment:
         the heap with their original sequence numbers so a policy that
         always answers 0 is indistinguishable from no policy at all.
         """
-        queue = self._queue
-        entry = heapq.heappop(queue)
+        queue = self._far
+        entry = _heappop(queue)
         if queue and queue[0][0] == entry[0] and queue[0][1] == entry[1]:
             when, prio = entry[0], entry[1]
             tied = [entry]
             while queue and queue[0][0] == when and queue[0][1] == prio:
-                tied.append(heapq.heappop(queue))
+                tied.append(_heappop(queue))
             index = self._tiebreak.choose(when, tied)
             if not 0 <= index < len(tied):
                 index = 0
             entry = tied.pop(index)
             for other in tied:
-                heapq.heappush(queue, other)
+                _heappush(queue, other)
         return entry
 
     def step(self) -> None:
         """Process the single next event on the agenda."""
+        dq = self._dq
+        far = self._far
         if self._tiebreak is not None:
-            if not self._queue:
+            if not far:
                 raise SimulationError("agenda is empty")
-            when, _prio, _eid, event = self._pop_choice()
-            self._now = when
-            callbacks, event.callbacks = event.callbacks, None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                exc = event._value
-                raise exc if isinstance(exc, BaseException) else SimulationError(
-                    repr(exc)
-                )
-            return
-        if not self._lanes:
-            if not self._queue:
-                raise SimulationError("agenda is empty")
-            entry = _heappop(self._queue)
-        else:
-            dq = self._dq
-            far = self._far
-            if dq:
-                entry = dq[0]
-                head = far.head
-                if head is not None and head < entry:
-                    entry = far.pop()
-                else:
-                    dq.popleft()
-            elif far.head is not None:
-                entry = far.pop()
+            entry = self._pop_choice()
+        elif dq:
+            if far and far[0] < dq[0]:
+                entry = _heappop(far)
             else:
-                raise SimulationError("agenda is empty")
+                entry = dq.popleft()
+        elif far:
+            entry = _heappop(far)
+        else:
+            raise SimulationError("agenda is empty")
 
         self._now = entry[0]
         event = entry[3]
@@ -388,74 +308,10 @@ class Environment:
         try:
             if self._tiebreak is not None:
                 return self._run_loop_policy(stop_event, stop_at)
-            if not self._lanes:
-                return self._run_loop_heap(stop_event, stop_at)
             return self._run_loop(stop_event, stop_at)
         finally:
             if gc_was_enabled:
                 _gc.enable()
-
-    def _run_loop_heap(
-        self,
-        stop_event: Optional[Event],
-        stop_at: float,
-    ) -> Any:
-        """Run loop for the legacy single-heap scheduler."""
-        queue = self._queue
-        pop = _heappop
-        if stop_event is not None:
-            while queue:
-                entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    # A failed event nobody waited on: surface it loudly.
-                    exc = event._value
-                    raise exc if isinstance(
-                        exc, BaseException
-                    ) else SimulationError(repr(exc))
-                if stop_event.callbacks is None:
-                    if stop_event._ok:
-                        return stop_event._value
-                    stop_event._defused = True
-                    raise stop_event._value
-        else:
-            while queue:
-                if queue[0][0] > stop_at:
-                    self._now = stop_at
-                    return None
-                entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    # A failed event nobody waited on: surface it loudly.
-                    exc = event._value
-                    raise exc if isinstance(
-                        exc, BaseException
-                    ) else SimulationError(repr(exc))
-
-        if stop_event is not None:
-            raise SimulationError(
-                "simulation ran out of events before the awaited event "
-                f"{stop_event!r} triggered"
-            )
-        if stop_at is not Infinity:
-            self._now = stop_at
-        return None
 
     def _run_loop(
         self,
@@ -465,39 +321,20 @@ class Environment:
         dq = self._dq
         dq_popleft = dq.popleft
         far = self._far
-        far_advance = far._advance
+        pop = _heappop
         if stop_event is not None:
             while True:
                 # Merge the lanes: full-key tuple comparison, so dispatch
                 # order is independent of which lane an entry landed in.
-                # Far pops are inlined (``head`` *is* ``_cur[_idx]``, so
-                # advancing the serve index and rebinding head replaces a
-                # method call on the per-timeout hot path).
                 if dq:
-                    entry = dq[0]
-                    head = far.head
-                    if head is not None and head < entry:
-                        entry = head
-                        cur = far._cur
-                        idx = far._idx + 1
-                        far._idx = idx
-                        try:
-                            far.head = cur[idx]
-                        except IndexError:
-                            far_advance()
+                    if far and far[0] < dq[0]:
+                        entry = pop(far)
                     else:
-                        dq_popleft()
+                        entry = dq_popleft()
+                elif far:
+                    entry = pop(far)
                 else:
-                    entry = far.head
-                    if entry is None:
-                        break
-                    cur = far._cur
-                    idx = far._idx + 1
-                    far._idx = idx
-                    try:
-                        far.head = cur[idx]
-                    except IndexError:
-                        far_advance()
+                    break
                 self._now = entry[0]
                 event = entry[3]
                 callbacks = event.callbacks
@@ -523,36 +360,20 @@ class Environment:
         else:
             while True:
                 if dq:
-                    # Zero-delay entries never outrun the clock, so only a
-                    # far head can cross stop_at; the dq branch needs no
-                    # bounds check.
-                    entry = dq[0]
-                    head = far.head
-                    if head is not None and head < entry:
-                        entry = head
-                        cur = far._cur
-                        idx = far._idx + 1
-                        far._idx = idx
-                        try:
-                            far.head = cur[idx]
-                        except IndexError:
-                            far_advance()
+                    # Zero-delay entries never outrun the clock, and a far
+                    # head that sorts before one is no later either, so
+                    # this branch needs no bounds check.
+                    if far and far[0] < dq[0]:
+                        entry = pop(far)
                     else:
-                        dq_popleft()
-                else:
-                    entry = far.head
-                    if entry is None:
-                        break
-                    if entry[0] > stop_at:
+                        entry = dq_popleft()
+                elif far:
+                    if far[0][0] > stop_at:
                         self._now = stop_at
                         return None
-                    cur = far._cur
-                    idx = far._idx + 1
-                    far._idx = idx
-                    try:
-                        far.head = cur[idx]
-                    except IndexError:
-                        far_advance()
+                    entry = pop(far)
+                else:
+                    break
                 self._now = entry[0]
                 event = entry[3]
                 callbacks = event.callbacks
@@ -584,11 +405,11 @@ class Environment:
         """Run loop variant used when a tie-break policy is installed.
 
         Mirrors :meth:`_run_loop` exactly, except every pop goes through
-        :meth:`_pop_choice` on the migrated legacy heap.  Kept separate
-        so the no-policy fast path stays byte-identical to the pinned
+        :meth:`_pop_choice` on the single heap.  Kept separate so the
+        no-policy fast path stays byte-identical to the pinned
         fingerprints.
         """
-        queue = self._queue
+        queue = self._far
         while queue:
             if stop_event is None and queue[0][0] > stop_at:
                 self._now = stop_at

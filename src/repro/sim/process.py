@@ -10,6 +10,7 @@ be interrupted.
 
 from __future__ import annotations
 
+from heapq import heappush as _heappush
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
@@ -60,7 +61,7 @@ class Process(Event):
         # is on the hot path (every cpu.execute spawns one).  Urgent
         # entries go to the kernel's far lane.
         env._eid += 1
-        env._far.push((env._now, 0, env._eid, bootstrap))
+        _heappush(env._far, (env._now, 0, env._eid, bootstrap))
 
     @property
     def is_alive(self) -> bool:
@@ -91,7 +92,7 @@ class Process(Event):
         interrupt_event.callbacks.append(self._resume)
         env = self.env
         env._eid += 1
-        env._far.push((env._now, 0, env._eid, interrupt_event))
+        _heappush(env._far, (env._now, 0, env._eid, interrupt_event))
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
@@ -198,7 +199,7 @@ class Drive(Event):
         bootstrap._ok = True
         bootstrap._value = None
         env._eid += 1
-        env._far.push((env._now, 0, env._eid, bootstrap))
+        _heappush(env._far, (env._now, 0, env._eid, bootstrap))
 
     def _advance(self, event: Event) -> None:
         try:

@@ -16,6 +16,7 @@ Two primitives cover everything the network and protocol layers need:
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
 from repro.errors import SimulationError
@@ -321,7 +322,7 @@ class TimedHold(Event):
         bootstrap._ok = True
         bootstrap._value = None
         env._eid += 1
-        env._far.push((env._now, 0, env._eid, bootstrap))
+        _heappush(env._far, (env._now, 0, env._eid, bootstrap))
 
     def _acquire(self, _event: Event) -> None:
         # Inlined Resource.request() (same grant push, same FIFO order).

@@ -23,6 +23,7 @@ core, keeping the simulation deterministic.
 
 from __future__ import annotations
 
+from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.errors import TcpError
@@ -191,7 +192,7 @@ class TcpConnection:
         bootstrap._ok = True
         bootstrap._value = None
         env._eid += 1
-        env._far.push((env._now, 0, env._eid, bootstrap))
+        _heappush(env._far, (env._now, 0, env._eid, bootstrap))
 
     def _loop_done(self) -> None:
         """Mimic the completion event a finished generator process pushed.

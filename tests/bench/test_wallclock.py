@@ -30,9 +30,6 @@ def _synthetic_document(value: float = 100.0) -> dict:
         "host": {"fingerprint": host_fingerprint()},
         "fig3": {},
         "fig4": {},
-        "schedulers": {},
-        "ratios": {},
-        "parallel": {},
         "copies": {},
     }
     for metric in WALLCLOCK_TOLERANCES:
@@ -98,7 +95,7 @@ class TestBaselineIO:
     def test_missing_section_rejected(self, tmp_path):
         path = str(tmp_path / "BENCH_wallclock.json")
         document = _synthetic_document()
-        del document["schedulers"]
+        del document["copies"]
         write_wallclock_baseline(document, path)
         with pytest.raises(ReproError):
             load_wallclock_baseline(path)

@@ -8,7 +8,9 @@ seeded RNG.  This AST lint enforces it:
   benchmark modules, which measure the *host*, never the model;
 * ``random`` may only be used to construct seeded ``random.Random``
   instances — the module-level functions share hidden global state;
-* no ``from random import ...`` anywhere (it hides which RNG is used).
+* no ``from random import ...`` anywhere (it hides which RNG is used);
+* no ``multiprocessing`` anywhere: parallel work belongs at the level of
+  independent runs, never inside the kernel.
 """
 
 import ast
@@ -25,10 +27,8 @@ TIME_ALLOWED = {
     "bench/regression.py",
 }
 
-#: Modules allowed to spawn processes: only the sharded parallel kernel.
-MULTIPROCESSING_ALLOWED = {
-    "sim/parallel.py",
-}
+#: Modules allowed to spawn processes: none.
+MULTIPROCESSING_ALLOWED: set = set()
 
 
 def _source_files():
@@ -127,10 +127,9 @@ class TestDeterminismLint:
                     offenders.append(f"{_relative(path)}:{node.lineno}")
         assert not offenders, f"OS entropy in the model: {offenders}"
 
-    def test_multiprocessing_only_in_parallel_kernel(self):
-        """Worker processes exist only in ``sim/parallel.py`` — model
-        code must never fork its own concurrency behind the kernel's
-        back."""
+    def test_no_multiprocessing_in_src(self):
+        """No worker processes anywhere in the library — model code must
+        never fork its own concurrency behind the kernel's back."""
         offenders = []
         for path in _source_files():
             tree = ast.parse(path.read_text(), filename=str(path))
@@ -148,72 +147,5 @@ class TestDeterminismLint:
                 if imports_mp and _relative(path) not in MULTIPROCESSING_ALLOWED:
                     offenders.append(f"{_relative(path)}:{node.lineno}")
         assert not offenders, (
-            f"multiprocessing outside sim/parallel.py: {offenders}"
-        )
-
-    def test_parallel_kernel_is_spawn_only_and_clock_free(self):
-        """The sharded kernel's extra rules.
-
-        * no host clock (``time``) — windows are driven by modeled time;
-        * every process must come from ``get_context("spawn")``: the
-          default start method is ``fork`` on Linux, which duplicates
-          parent state (open pipes, the imported module graph, any
-          lazily-initialized cache) into the worker and makes run
-          results depend on what the parent happened to have touched —
-          so bare ``multiprocessing.Process`` and ``set_start_method``
-          are both rejected.
-        """
-        path = SRC_ROOT / "sim" / "parallel.py"
-        tree = ast.parse(path.read_text(), filename=str(path))
-        mp_aliases = set()
-        offenders = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root == "time":
-                        offenders.append(f"time import:{node.lineno}")
-                    if root == "multiprocessing":
-                        mp_aliases.add(alias.asname or root)
-            elif isinstance(node, ast.ImportFrom):
-                root = (node.module or "").split(".")[0]
-                if root == "time":
-                    offenders.append(f"time import:{node.lineno}")
-                if root == "multiprocessing":
-                    # from-imports hide whether Process came from a
-                    # spawn context; require attribute access instead.
-                    offenders.append(f"from multiprocessing:{node.lineno}")
-        assert mp_aliases, "sim/parallel.py no longer imports multiprocessing?"
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in mp_aliases
-                and node.attr != "get_context"
-            ):
-                offenders.append(
-                    f"multiprocessing.{node.attr}:{node.lineno} "
-                    "(only get_context is allowed)"
-                )
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get_context"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in mp_aliases
-            ):
-                spawn_literal = (
-                    len(node.args) == 1
-                    and not node.keywords
-                    and isinstance(node.args[0], ast.Constant)
-                    and node.args[0].value == "spawn"
-                )
-                if not spawn_literal:
-                    offenders.append(
-                        f"get_context without literal 'spawn':{node.lineno}"
-                    )
-            if isinstance(node, ast.Attribute) and node.attr == "set_start_method":
-                offenders.append(f"set_start_method:{node.lineno}")
-        assert not offenders, (
-            f"sim/parallel.py determinism violations: {offenders}"
+            f"multiprocessing in the library: {offenders}"
         )

@@ -12,6 +12,7 @@ are the sampler's own, and the sampled series itself is bit-stable
 from repro.bench.echo import run_echo
 from repro.bench.selector_echo import reptor_echo
 from repro.obs import MetricsSampler
+from repro.sim import TieBreakPolicy
 from tests.sim.test_fastpath_determinism import (
     FIG3_POINT_DIGEST,
     FIG4_POINT_DIGEST,
@@ -69,20 +70,32 @@ def test_sampled_fig3_run_keeps_pinned_fingerprint():
 
 
 def test_sampler_identical_across_schedulers(monkeypatch):
-    """Calendar vs heap: the sampler's ticks are ordinary agenda entries,
-    so switching the far-lane structure must change neither the sampled
-    series nor the tick/event accounting."""
+    """Two-lane loop vs tie-break heap loop: the sampler's ticks are
+    ordinary agenda entries, so running under an always-0 policy must
+    change neither the sampled series nor the tick/event accounting."""
+    from repro.bench import selector_echo
+
+    build_testbed = selector_echo.build_testbed
+
+    def build_testbed_with_policy():
+        bed = build_testbed()
+        bed.env.set_tiebreak(TieBreakPolicy())
+        return bed
+
     series = {}
     accounting = {}
-    for mode in ("heap", "calendar"):
-        monkeypatch.setenv("REPRO_SCHEDULER", mode)
+    for policy in (False, True):
+        if policy:
+            monkeypatch.setattr(
+                selector_echo, "build_testbed", build_testbed_with_policy
+            )
         sampler = MetricsSampler(period=0.5e-3)
         result = reptor_echo("rubin", 20 * 1024, 30, sampler=sampler)
-        series[mode] = _series_fingerprint(sampler)
-        accounting[mode] = (result.sim_events, sampler.ticks)
-    assert series["heap"] == series["calendar"] == FIG4_SAMPLED_SERIES_DIGEST
-    assert accounting["heap"] == accounting["calendar"]
-    assert accounting["heap"][1] > 0
+        series[policy] = _series_fingerprint(sampler)
+        accounting[policy] = (result.sim_events, sampler.ticks)
+    assert series[False] == series[True] == FIG4_SAMPLED_SERIES_DIGEST
+    assert accounting[False] == accounting[True]
+    assert accounting[False][1] > 0
 
 
 def test_traced_fig4_run_keeps_pinned_fingerprint():
