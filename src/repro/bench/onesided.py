@@ -8,8 +8,8 @@ Two questions, one figure (the paper's Section III trade-off):
    (``mode="twosided"``); the delta is the fast path's win.
 
 2. **What does it cost in safety, and does the guard pay for itself?**
-   A :class:`~repro.bft.byzantine.CompromisedRkeyReplica` forges leader
-   proposals into its peers' rings mid-workload, once with the dynamic
+   A replica running :func:`~repro.bft.byzantine.compromise_rkey` forges
+   leader proposals into its peers' rings mid-workload, once with the dynamic
    permission guard armed (``mode="attack-guarded"``) and once with it
    off (``mode="attack-unguarded"``).  The *blast radius* — distinct
    (host, offset) pairs a forged write actually landed on — must be
@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bft import BftCluster, BftConfig
-from repro.bft.byzantine import CompromisedRkeyReplica
+from repro.bft.byzantine import compromise_rkey
 from repro.errors import ReproError
 from repro.rubin import RubinConfig
 from repro.sim import SummaryStats
@@ -81,16 +81,14 @@ def run_onesided_point(
     """One mode of the one-sided figure; returns a JSON-ready point.
 
     A single client issues ``messages`` requests closed-loop with
-    ``request_gap`` between them; in the attack modes ``r3`` is a
-    :class:`CompromisedRkeyReplica` armed at ``attack_at`` so the
-    forgeries overlap the workload.
+    ``request_gap`` between them; in the attack modes ``r3`` starts
+    :func:`compromise_rkey` at ``attack_at`` so the forgeries overlap the
+    workload.
     """
     if mode not in ONESIDED_MODES:
         raise ReproError(
             f"unknown onesided mode {mode!r} (have {ONESIDED_MODES})"
         )
-    attack = mode.startswith("attack-")
-    replica_classes = {"r3": CompromisedRkeyReplica} if attack else None
     cluster = BftCluster(
         transport="rubin",
         config=_config(mode),
@@ -102,7 +100,6 @@ def run_onesided_point(
             num_send_buffers=8,
             post_batch=4,
         ),
-        replica_classes=replica_classes,
         tracer=tracer,
     )
     cluster.start()
@@ -110,8 +107,9 @@ def run_onesided_point(
     if sampler is not None:
         sampler.bind(env, cluster.metrics_registry())
         sampler.start()
-    if attack:
-        cluster.replica("r3").arm_compromise(attack_at)
+    attack = None
+    if mode.startswith("attack-"):
+        attack = compromise_rkey(cluster.replica("r3"), attack_at)
 
     payload = b"\x5a" * payload_bytes
     latencies_us: List[float] = []
@@ -156,15 +154,11 @@ def run_onesided_point(
             safety_rules.append(violation.rule)
 
     counters = {"writes": 0, "corrupted_slots": 0, "fallbacks": 0}
-    forged_attempts = 0
     for replica in cluster.replicas.values():
-        if hasattr(replica, "onesided_writes"):
-            counters["writes"] += replica.onesided_writes.value
-            counters["corrupted_slots"] += (
-                replica.onesided_corrupted_slots.value
-            )
-            counters["fallbacks"] += replica.onesided_fallbacks.value
-        forged_attempts += getattr(replica, "forged_attempts", 0)
+        if replica.onesided is not None:
+            for name in counters:
+                counters[name] += replica.onesided.counters()[name].value
+    forged_attempts = attack.forged_attempts if attack is not None else 0
 
     return {
         "mode": mode,

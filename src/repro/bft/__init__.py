@@ -2,21 +2,25 @@
 
 Agreement (pre-prepare / prepare / commit with batching, checkpoints and
 view changes), execution of a pluggable deterministic state machine, a
-quorum-checking client, Byzantine/crash fault behaviours for testing, and
-a one-call cluster builder.  Runs over either the NIO/TCP or the
-RUBIN/RDMA transport — the comparison at the heart of the paper.
+quorum-checking client, composable Byzantine/crash faults for testing
+(``replica.add_fault``), and a one-call cluster builder.  Runs over either
+the NIO/TCP or the RUBIN/RDMA transport — the comparison at the heart of
+the paper.  One replica class serves every deployment: multi-group COP
+ordering, the one-sided fast path and faults all compose onto it.
 """
 
 from repro.bft.byzantine import (
-    CompromisedRkeyReplica,
-    CorruptingReplica,
-    EquivocatingLeader,
-    EquivocatingNewViewLeader,
-    EquivocatingViewChangeReplica,
-    PermissionRaceReplica,
-    RogueOverwriteReplica,
-    SilentReplica,
-    StallingViewChangeLeader,
+    CorruptVotes,
+    EquivocateNewView,
+    EquivocatePrePrepare,
+    EquivocateViewChange,
+    FailSilent,
+    Fault,
+    MemoryAttack,
+    StallNewView,
+    compromise_rkey,
+    permission_race,
+    rogue_overwrite,
 )
 from repro.bft.client import BftClient
 from repro.bft.cluster import REPLICA_PORT, BftCluster
@@ -24,14 +28,13 @@ from repro.bft.config import BftConfig
 from repro.bft.cop import (
     AdaptiveBatcher,
     CopClient,
-    CopGroupEquivocator,
     CopReplica,
     GroupPipeline,
     MergeStage,
     make_partitioner,
 )
 from repro.bft.log import MessageLog, Slot
-from repro.bft.onesided import OneSidedLink, OneSidedReplica, wire_onesided
+from repro.bft.onesided import OneSidedLink, OneSidedPath, wire_onesided
 from repro.bft.messages import (
     Checkpoint,
     Commit,
@@ -55,13 +58,12 @@ __all__ = [
     "BftClient",
     "BftConfig",
     "CopClient",
-    "CopGroupEquivocator",
     "CopReplica",
     "GroupPipeline",
     "MergeStage",
     "make_partitioner",
     "Replica",
-    "OneSidedReplica",
+    "OneSidedPath",
     "OneSidedLink",
     "wire_onesided",
     "batch_digest",
@@ -70,15 +72,17 @@ __all__ = [
     "StateMachine",
     "KeyValueStore",
     "CounterMachine",
-    "SilentReplica",
-    "EquivocatingLeader",
-    "CorruptingReplica",
-    "StallingViewChangeLeader",
-    "EquivocatingViewChangeReplica",
-    "EquivocatingNewViewLeader",
-    "CompromisedRkeyReplica",
-    "RogueOverwriteReplica",
-    "PermissionRaceReplica",
+    "Fault",
+    "FailSilent",
+    "EquivocatePrePrepare",
+    "CorruptVotes",
+    "StallNewView",
+    "EquivocateViewChange",
+    "EquivocateNewView",
+    "MemoryAttack",
+    "compromise_rkey",
+    "rogue_overwrite",
+    "permission_race",
     "Request",
     "Reply",
     "PrePrepare",

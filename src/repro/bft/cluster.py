@@ -3,12 +3,15 @@
 Builds the fabric (hosts, cables), installs both network stacks, starts
 Reptor endpoints over the chosen transport, wires the replica full mesh,
 and connects clients — the boilerplate every example, test and benchmark
-needs.
+needs.  Every deployment uses the same two classes, ``CopReplica`` and
+``CopClient`` (at ``group_count == 1`` they schedule exactly like a single
+sequential pipeline); variants are composed onto the built replicas —
+faults with ``add_fault``, the one-sided fast path by ``BftConfig``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Type, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.audit import (
     NULL_AUDIT,
@@ -20,11 +23,13 @@ from repro.audit import (
 from repro.bft.client import BftClient
 from repro.bft.config import BftConfig
 from repro.bft.cop import CopClient, CopReplica
+from repro.bft.onesided import ONESIDED_COUNTERS
 from repro.bft.replica import Replica
 from repro.bft.statemachine import KeyValueStore, StateMachine
 from repro.crypto import KeyStore
 from repro.errors import BftError, ReproError
 from repro.net import Fabric, TEN_GIGABIT
+from repro.net.faults import FaultyFabric
 from repro.rdma import RdmaDevice
 from repro.reptor import ReptorConfig, ReptorEndpoint
 from repro.rubin import RubinConfig
@@ -48,9 +53,6 @@ class BftCluster:
         reptor_config: Optional[ReptorConfig] = None,
         rubin_config: Optional[RubinConfig] = None,
         app_factory: Callable[[], StateMachine] = KeyValueStore,
-        replica_classes: Optional[Dict[str, Type[Replica]]] = None,
-        default_replica_class: Optional[Type[Replica]] = None,
-        client_class: Optional[Type[BftClient]] = None,
         num_clients: int = 1,
         bandwidth_bps: float = TEN_GIGABIT,
         propagation_delay: float = 1.5e-6,
@@ -83,8 +85,6 @@ class BftCluster:
                 manager, self.env, self._outstanding_requests
             )
         if faulty_fabric:
-            from repro.net.faults import FaultyFabric
-
             self.fabric = FaultyFabric(self.env)
         else:
             self.fabric = Fabric(self.env)
@@ -109,36 +109,10 @@ class BftCluster:
             TcpStack(host)
             RdmaDevice(host)
 
-        replica_classes = replica_classes or {}
-        # COP deployments default to the multi-group replica and the
-        # partition-aware client; at group_count == 1 the plain classes
-        # keep historical schedules bit-identical.
-        if default_replica_class is None:
-            if self.config.onesided:
-                from repro.bft.onesided import OneSidedReplica
-
-                default_replica_class = OneSidedReplica
-            else:
-                default_replica_class = (
-                    Replica if self.config.group_count == 1 else CopReplica
-                )
-        self.default_replica_class = default_replica_class
-        if client_class is None:
-            client_class = (
-                BftClient if self.config.group_count == 1 else CopClient
-            )
-        self.client_class = client_class
         if self.audit.enabled:
             self.audit.bft.configure(
                 self.config.f, group_count=self.config.group_count
             )
-            if getattr(default_replica_class, "BYZANTINE", False) or any(
-                getattr(cls, "BYZANTINE", False)
-                for cls in replica_classes.values()
-            ):
-                # Deliberately faulty members are *supposed* to trip the
-                # auditors; the conformance fixture must not fail the test.
-                self.audit.expect_violations = True
         self.replicas: Dict[str, Replica] = {}
         self.apps: Dict[str, StateMachine] = {}
         self._crashed: set = set()
@@ -154,8 +128,7 @@ class BftCluster:
             endpoint.listen(REPLICA_PORT)
             app = app_factory()
             self.apps[replica_id] = app
-            cls = replica_classes.get(replica_id, self.default_replica_class)
-            self.replicas[replica_id] = cls(
+            self.replicas[replica_id] = CopReplica(
                 replica_id,
                 endpoint,
                 list(self.replica_ids),
@@ -173,22 +146,14 @@ class BftCluster:
                 keystore=self.keystore,
                 rubin_config=self.rubin_config,
             )
-            if issubclass(self.client_class, CopClient):
-                self.clients[client_id] = self.client_class(
-                    client_id,
-                    endpoint,
-                    list(self.replica_ids),
-                    f=self.config.f,
-                    group_count=self.config.group_count,
-                    partitioner=self.config.partitioner,
-                )
-            else:
-                self.clients[client_id] = self.client_class(
-                    client_id,
-                    endpoint,
-                    list(self.replica_ids),
-                    f=self.config.f,
-                )
+            self.clients[client_id] = CopClient(
+                client_id,
+                endpoint,
+                list(self.replica_ids),
+                f=self.config.f,
+                group_count=self.config.group_count,
+                partitioner=self.config.partitioner,
+            )
         self._started = False
 
     # -- startup ---------------------------------------------------------
@@ -239,10 +204,9 @@ class BftCluster:
     # -- crash / restart -------------------------------------------------------
 
     def _host_faults(self, name: str):
-        host_controller = getattr(self.fabric, "host_controller", None)
-        if host_controller is None:
+        if not isinstance(self.fabric, FaultyFabric):
             return None
-        return host_controller(name)
+        return self.fabric.host_controller(name)
 
     def crash_replica(self, replica_id: str) -> None:
         """Crash a replica: power its NIC off, then kill its processes.
@@ -291,7 +255,7 @@ class BftCluster:
         endpoint.listen(REPLICA_PORT)
         app = self.app_factory()
         self.apps[replica_id] = app
-        replica = self.default_replica_class(
+        replica = CopReplica(
             replica_id,
             endpoint,
             list(self.replica_ids),
@@ -392,15 +356,10 @@ class BftCluster:
                     "rejoin_latency": replica.rejoin_latency,
                 },
             )
-            if hasattr(replica, "onesided_writes"):
+            if replica.onesided is not None:
                 registry.register_many(
                     f"replica.{replica_id}.onesided",
-                    {
-                        "writes": replica.onesided_writes,
-                        "records": replica.onesided_records,
-                        "corrupted_slots": replica.onesided_corrupted_slots,
-                        "fallbacks": replica.onesided_fallbacks,
-                    },
+                    replica.onesided.counters(),
                 )
             endpoint_metrics = {
                 "watermark_crossings": replica.endpoint.watermark_crossings,
@@ -472,26 +431,11 @@ class BftCluster:
             registry.register_many(
                 "bft.onesided",
                 {
-                    "writes": lambda: sum(
-                        r.onesided_writes.value
+                    name: lambda name=name: sum(
+                        r.onesided.counters()[name].value
                         for r in self.replicas.values()
-                        if hasattr(r, "onesided_writes")
-                    ),
-                    "records": lambda: sum(
-                        r.onesided_records.value
-                        for r in self.replicas.values()
-                        if hasattr(r, "onesided_records")
-                    ),
-                    "corrupted_slots": lambda: sum(
-                        r.onesided_corrupted_slots.value
-                        for r in self.replicas.values()
-                        if hasattr(r, "onesided_corrupted_slots")
-                    ),
-                    "fallbacks": lambda: sum(
-                        r.onesided_fallbacks.value
-                        for r in self.replicas.values()
-                        if hasattr(r, "onesided_fallbacks")
-                    ),
+                    )
+                    for name in ONESIDED_COUNTERS
                 },
             )
         for client_id, client in sorted(self.clients.items()):

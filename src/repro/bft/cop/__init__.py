@@ -19,13 +19,15 @@ single total execution order:
 
 ``group_count=1`` is the exact degenerate case: a ``CopReplica`` with a
 single group schedules bit-identically to the sequential pipeline (the
-fingerprint tests pin this).
+fingerprint tests pin this), which is why ``BftCluster`` builds
+``CopReplica``/``CopClient`` for every deployment.  A Byzantine fault
+(:mod:`repro.bft.byzantine`) attached to one ``GroupPipeline`` misbehaves
+inside that consensus group only.
 """
 
 from repro.bft.cop.batcher import AdaptiveBatcher
 from repro.bft.cop.group import (
     CopClient,
-    CopGroupEquivocator,
     CopReplica,
     GroupConnection,
     GroupPipeline,
@@ -42,7 +44,6 @@ __all__ = [
     "AdaptiveBatcher",
     "ClientAffinityPartitioner",
     "CopClient",
-    "CopGroupEquivocator",
     "CopReplica",
     "GroupConnection",
     "GroupPipeline",

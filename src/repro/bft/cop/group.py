@@ -17,7 +17,10 @@ function of the request id, so each replica derives the target group
 locally.  With ``group_count == 1`` no tagging, no extra processes and
 no extra simulation events exist: a :class:`CopReplica` is bit-identical
 to the sequential :class:`~repro.bft.replica.Replica` (pinned by the
-schedule-fingerprint tests).
+schedule-fingerprint tests), which is why ``BftCluster`` builds it for
+every deployment.  ``CopReplica`` and :class:`GroupPipeline` are the only
+``Replica`` subclasses; Byzantine behaviour is composed onto them as
+fault objects (:meth:`~repro.bft.replica.Replica.add_fault`).
 
 Leadership is rotated per group — group ``g`` in view ``v`` is led by
 ``all_ids[(v + g) % n]`` — so at view 0 the ``n`` group leaders spread
@@ -27,14 +30,14 @@ pay off once handler CPU (signatures) is the bottleneck.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.audit import get_audit
 from repro.bft.client import BftClient
 from repro.bft.config import BftConfig
 from repro.bft.cop.merge import MergeStage
 from repro.bft.cop.partition import make_partitioner
-from repro.bft.messages import PrePrepare, Reply, Request, decode, encode
+from repro.bft.messages import Reply, Request, decode
 from repro.bft.replica import Replica, batch_digest
 from repro.errors import BftError
 from repro.reptor import ReptorConnection, ReptorEndpoint
@@ -43,7 +46,6 @@ from repro.trace import get_tracer
 
 __all__ = [
     "CopClient",
-    "CopGroupEquivocator",
     "CopReplica",
     "GroupConnection",
     "GroupPipeline",
@@ -189,7 +191,7 @@ class CopReplica(Replica):
         )
         if cfg.group_count > 1:
             for group in range(1, cfg.group_count):
-                self._groups.append(self._make_group_pipeline(group))
+                self._groups.append(GroupPipeline(self, group))
             self.env.process(
                 self._cop_execute_loop(), name=f"{replica_id}.cop-exec"
             )
@@ -198,10 +200,6 @@ class CopReplica(Replica):
             )
             if recover:
                 self.begin_state_transfer()
-
-    def _make_group_pipeline(self, group: int) -> Replica:
-        """Factory hook: Byzantine subclasses substitute faulty groups."""
-        return GroupPipeline(self, group)
 
     # -- identity ------------------------------------------------------
 
@@ -662,89 +660,3 @@ class CopClient(BftClient):
                 self._group_views.get(group, 0), reply.view
             )
         super()._on_reply(reply)
-
-
-class _GroupEquivocationMixin:
-    """Equivocating pre-prepare behaviour shared by the Byzantine COP
-    classes (same attack as
-    :class:`repro.bft.byzantine.EquivocatingLeader`)."""
-
-    def _init_equivocation(self) -> None:
-        self.equivocate = False
-        self._victims: Set[str] = set()
-
-    def start_equivocating(self, victims: Optional[Set[str]] = None) -> None:
-        """Send forged pre-prepares to ``victims`` (default: half the
-        other replicas) from now on."""
-        self.equivocate = True
-        if victims is None:
-            others = [p for p in self.all_ids if p != self.replica_id]
-            victims = set(others[: len(others) // 2])
-        self._victims = victims
-
-    def _outbound_filter(self, message, raw: bytes, peer_id: str):
-        if (
-            self.equivocate
-            and isinstance(message, PrePrepare)
-            and peer_id in self._victims
-        ):
-            forged_batch = tuple(
-                type(request)(
-                    client_id=request.client_id,
-                    timestamp=request.timestamp,
-                    operation=b"FORGED:" + request.operation,
-                )
-                for request in message.batch
-            )
-            forged = PrePrepare(
-                view=message.view,
-                seq=message.seq,
-                digest=batch_digest(forged_batch),
-                batch=forged_batch,
-                replica_id=self.replica_id,
-            )
-            return encode(forged)
-        return super()._outbound_filter(message, raw, peer_id)
-
-
-class _EquivocatingGroupPipeline(_GroupEquivocationMixin, GroupPipeline):
-    """A single Byzantine consensus group inside an otherwise honest
-    replica host."""
-
-    BYZANTINE = True
-
-    def __init__(self, owner: "CopReplica", group: int):
-        super().__init__(owner, group)
-        self._init_equivocation()
-
-
-class CopGroupEquivocator(_GroupEquivocationMixin, CopReplica):
-    """COP replica whose ``byzantine_group`` pipeline equivocates.
-
-    Models the COP-specific fault surface: one consensus group turns
-    Byzantine while the host's other groups keep behaving — the audit
-    invariants must localise the violation to that group while the
-    merged order stays safe.
-    """
-
-    BYZANTINE = True
-
-    def __init__(self, *args, byzantine_group: int = 1, **kwargs):
-        self.byzantine_group = byzantine_group
-        self._init_equivocation()
-        super().__init__(*args, **kwargs)
-
-    def _make_group_pipeline(self, group: int) -> Replica:
-        if group == self.byzantine_group:
-            return _EquivocatingGroupPipeline(self, group)
-        return super()._make_group_pipeline(group)
-
-    def arm_group_equivocation(
-        self,
-        victims: Optional[Set[str]] = None,
-        group: Optional[int] = None,
-    ) -> None:
-        """Start equivocating in ``group`` (default the configured
-        Byzantine group; group 0 is the coordinator itself)."""
-        target = self.byzantine_group if group is None else group
-        self._groups[target].start_equivocating(victims)

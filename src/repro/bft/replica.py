@@ -13,9 +13,10 @@ the algorithm Reptor runs — on top of the Reptor communication stack:
   sequence number onto parallel handler processes that contend for the
   host's cores, while execution remains totally ordered.
 
-Byzantine behaviours for tests and demos live in
-:mod:`repro.bft.byzantine`, implemented as message-tampering hooks on this
-class.
+Variants compose onto this one class instead of subclassing it: the
+one-sided fast path is a component the replica owns (``replica.onesided``,
+:mod:`repro.bft.onesided`), and Byzantine or crash behaviour is a chain of
+fault objects (:mod:`repro.bft.byzantine`) that every send passes through.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.bft.config import BftConfig
 from repro.bft.log import MessageLog
+from repro.bft.onesided import OneSidedPath
 from repro.bft.messages import (
     Busy,
     Checkpoint,
@@ -50,6 +52,7 @@ from repro.sim.monitor import Counter, TimeSeries
 from repro.trace import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.bft.byzantine import Fault
     from repro.sim import Environment
 
 __all__ = ["Replica", "batch_digest"]
@@ -65,11 +68,6 @@ def batch_digest(batch: Tuple[Request, ...]) -> bytes:
 
 class Replica:
     """One PBFT replica bound to a Reptor endpoint."""
-
-    #: Subclasses that deliberately violate the protocol set this; the
-    #: cluster marks its audit manager ``expect_violations`` when any
-    #: member replica is Byzantine.
-    BYZANTINE = False
 
     #: Consensus group this pipeline orders for (COP).  The sequential
     #: replica is its own (only) group 0; ``repro.bft.cop`` overrides
@@ -187,6 +185,11 @@ class Replica:
         self.state_transfer_bytes = Counter(f"{replica_id}.st_bytes")
         self.shed_requests = Counter(f"{replica_id}.shed_requests")
         self.rejoin_latency = TimeSeries(self.env, f"{replica_id}.rejoin")
+
+        #: Faults every outbound frame passes through (empty: honest).
+        self.faults: List["Fault"] = []
+        #: The one-sided fast path, wired by the cluster after start.
+        self.onesided = OneSidedPath(self) if self.config.onesided else None
 
         if recover:
             # A restarted replica starts from a blank state machine:
@@ -358,28 +361,57 @@ class Replica:
 
     def _broadcast(self, message, trace_ctx=None) -> None:
         raw = encode(message)
+        onesided = self.onesided
         for peer_id in self.all_ids:
             if peer_id == self.replica_id:
                 continue
-            tampered = self._outbound_filter(message, raw, peer_id)
-            if tampered is None:
+            out = self._outbound(message, raw, peer_id)
+            if out is None:
+                continue
+            if onesided is not None and onesided.send(peer_id, message, out):
                 continue
             connection = self._replica_conns.get(peer_id)
             if connection is not None and not connection.closed:
-                connection.send(tampered, trace_ctx=trace_ctx)
+                connection.send(out, trace_ctx=trace_ctx)
 
     def _send_to(self, peer_id: str, message, trace_ctx=None) -> None:
-        raw = self._outbound_filter(message, encode(message), peer_id)
-        if raw is None:
-            return
-        connection = self._replica_conns.get(peer_id)
-        if connection is not None and not connection.closed:
-            connection.send(raw, trace_ctx=trace_ctx)
+        self._send(self._replica_conns, peer_id, message, trace_ctx)
 
-    def _outbound_filter(self, message, raw: bytes, peer_id: str):
-        """Hook for Byzantine subclasses: return bytes to send, or None
-        to drop.  The honest replica sends faithfully."""
+    def _send(self, connections, peer_id: str, message, trace_ctx=None):
+        """Send ``message`` on ``connections[peer_id]`` through the fault
+        chain; returns the bytes sent, or None if nothing was sent."""
+        raw = self._outbound(message, encode(message), peer_id)
+        if raw is None:
+            return None
+        connection = connections.get(peer_id)
+        if connection is None or connection.closed:
+            return None
+        connection.send(raw, trace_ctx=trace_ctx)
         return raw
+
+    def _outbound(self, message, raw: bytes, peer_id: str) -> Optional[bytes]:
+        """The single choke point of every send: run ``raw`` through the
+        fault chain.  Returns the bytes to send, or None to drop."""
+        for fault in self.faults:
+            raw = fault.outbound(message, raw, peer_id)
+            if raw is None:
+                break
+        return raw
+
+    def add_fault(self, fault: "Fault") -> "Fault":
+        """Attach ``fault`` to every ordering pipeline of this replica
+        (attached to one COP group pipeline, it affects that group only).
+
+        A Byzantine fault marks the audit manager ``expect_violations``:
+        a deliberately faulty member is *supposed* to trip the auditors.
+        """
+        fault.replica = self
+        for pipeline in self.group_pipelines():
+            pipeline.faults.append(fault)
+        audit = get_audit(self.env)
+        if fault.byzantine and audit.enabled:
+            audit.expect_violations = True
+        return fault
 
     # ------------------------------------------------------------------
     # tracing helpers
@@ -555,12 +587,10 @@ class Replica:
                 outstanding=len(self._request_deadlines),
                 budget=self.config.admission_budget,
             )
-        connection = self._client_conns.get(request.client_id)
-        if connection is not None and not connection.closed:
-            busy = Busy(
-                self.replica_id, request.client_id, request.timestamp, self.view
-            )
-            connection.send(encode(busy))
+        busy = Busy(
+            self.replica_id, request.client_id, request.timestamp, self.view
+        )
+        self._send(self._client_conns, request.client_id, busy)
 
     def _kick_batcher(self) -> None:
         if self._batch_kick is not None and not self._batch_kick.triggered:
@@ -883,9 +913,7 @@ class Replica:
         self._broadcast(checkpoint)
 
     def _reply_to_client(self, reply: Reply, trace_ctx=None) -> None:
-        connection = self._client_conns.get(reply.client_id)
-        if connection is not None and not connection.closed:
-            connection.send(encode(reply), trace_ctx=trace_ctx)
+        self._send(self._client_conns, reply.client_id, reply, trace_ctx)
 
     def _on_checkpoint(self, message: Checkpoint, sender: str) -> None:
         if message.replica_id != sender:
@@ -967,14 +995,10 @@ class Replica:
             view=self.view,
             replica_id=self.replica_id,
         )
-        raw = self._outbound_filter(reply, encode(reply), sender)
-        if raw is None:
-            return
-        connection = self._replica_conns.get(sender)
-        if connection is not None and not connection.closed:
+        raw = self._send(self._replica_conns, sender, reply)
+        if raw is not None:
             self.state_transfers_served.increment()
             self.state_transfer_bytes.increment(len(raw))
-            connection.send(raw)
 
     def _on_state_transfer_reply(
         self, message: StateTransferReply, sender: str
@@ -1214,6 +1238,8 @@ class Replica:
         now = self.env.now
         for key in self._request_deadlines:
             self._request_deadlines[key] = now + self._current_timeout()
+        if self.onesided is not None:
+            self.onesided.on_view_change_vote()
 
     def _on_view_change(self, message: ViewChange, sender: str) -> None:
         if message.replica_id != sender or message.new_view <= self.view:
@@ -1252,6 +1278,9 @@ class Replica:
             self._install_new_view(message.new_view, votes)
 
     def _install_new_view(self, new_view: int, votes: Dict[str, ViewChange]) -> None:
+        for fault in self.faults:
+            if fault.install_new_view(new_view, votes):
+                return
         if self.view >= new_view:
             return
         # Re-propose every prepared request from the union of the votes,
@@ -1368,6 +1397,8 @@ class Replica:
             self._request_deadlines[key] = now + self._current_timeout()
         if self.is_leader:
             self._kick_batcher()
+        if self.onesided is not None:
+            self.onesided.on_new_view()
 
     # ------------------------------------------------------------------
     # lifecycle

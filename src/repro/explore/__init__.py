@@ -34,7 +34,11 @@ from repro.explore.engine import (
     Explorer,
     RunRecord,
 )
-from repro.explore.mutants import MUTANTS, CommitQuorumOffByOneReplica
+from repro.explore.mutants import (
+    MUTANTS,
+    commit_quorum_off_by_one,
+    onesided_guard_off,
+)
 from repro.explore.oracle import HistoryOracle
 from repro.explore.policy import RecordingPolicy, SeededFuzz, owner_key
 from repro.explore.scenario import (
@@ -55,7 +59,6 @@ from repro.sim.core import TieBreakPolicy
 
 __all__ = [
     "BYZANTINE_CATALOG",
-    "CommitQuorumOffByOneReplica",
     "DecisionTrace",
     "ExplorationReport",
     "ExploreBudget",
@@ -74,8 +77,10 @@ __all__ = [
     "TieBreakPolicy",
     "TRACE_SCHEMA",
     "TraceError",
+    "commit_quorum_off_by_one",
     "ddmin",
     "get_scenario",
+    "onesided_guard_off",
     "owner_key",
     "run_scenario",
     "run_selftest",

@@ -1,7 +1,7 @@
 """Declarative fault scenarios and the single-run harness.
 
 A :class:`ScenarioSpec` composes everything a run throws at the
-protocol — Byzantine replica classes from :mod:`repro.bft.byzantine`,
+protocol — Byzantine faults from :mod:`repro.bft.byzantine`,
 crash/restart via the fabric's :class:`HostFaultController`, partitions
 and seeded loss from :mod:`repro.net.faults`, and admission-budget
 overload — as data: a workload plus a list of timed
@@ -19,17 +19,17 @@ from typing import Any, Callable, Dict, Optional, Tuple, Type
 from repro.audit import AuditConfig, AuditManager, release_audit
 from repro.bft import BftCluster, BftConfig
 from repro.bft.byzantine import (
-    CompromisedRkeyReplica,
-    CorruptingReplica,
-    EquivocatingLeader,
-    EquivocatingNewViewLeader,
-    EquivocatingViewChangeReplica,
-    PermissionRaceReplica,
-    RogueOverwriteReplica,
-    SilentReplica,
-    StallingViewChangeLeader,
+    CorruptVotes,
+    EquivocateNewView,
+    EquivocatePrePrepare,
+    EquivocateViewChange,
+    FailSilent,
+    Fault,
+    StallNewView,
+    compromise_rkey,
+    permission_race,
+    rogue_overwrite,
 )
-from repro.bft.cop import CopGroupEquivocator
 from repro.bft.replica import Replica
 from repro.errors import ReproError
 from repro.explore.oracle import HistoryOracle
@@ -51,18 +51,41 @@ class ScenarioError(ReproError):
     """A scenario spec references unknown faults or is inconsistent."""
 
 
-#: Byzantine replica classes addressable from scenario specs.
-BYZANTINE_CATALOG: Dict[str, Type[Replica]] = {
-    "silent": SilentReplica,
-    "equivocating-leader": EquivocatingLeader,
-    "corrupting": CorruptingReplica,
-    "vc-stalling-leader": StallingViewChangeLeader,
-    "vc-equivocator": EquivocatingViewChangeReplica,
-    "nv-equivocator": EquivocatingNewViewLeader,
-    "cop-equivocator": CopGroupEquivocator,
-    "compromised-rkey": CompromisedRkeyReplica,
-    "rogue-overwrite": RogueOverwriteReplica,
-    "perm-race": PermissionRaceReplica,
+#: Consensus group whose pipeline a ``cop-equivocator`` member corrupts
+#: (group 0 is the replica itself, so 1 is the first group a fault can
+#: single out).
+COP_BYZANTINE_GROUP = 1
+
+
+def _attach(kind: Type[Fault], group: Optional[int] = None):
+    def install(replica: Replica) -> None:
+        if group is not None:
+            replica = replica.group_pipelines()[group]
+        replica.add_fault(kind())
+
+    return install
+
+
+def _memory_attacker(replica: Replica) -> None:
+    """Memory attacks attach their fault when their action arms them."""
+
+
+#: Byzantine members addressable from scenario specs: each entry attaches
+#: its (unarmed) fault to the member when the cluster is built; the
+#: matching :data:`FAULT_CATALOG` action arms it.
+BYZANTINE_CATALOG: Dict[str, Callable[[Replica], None]] = {
+    "silent": _attach(FailSilent),
+    "equivocating-leader": _attach(EquivocatePrePrepare),
+    "corrupting": _attach(CorruptVotes),
+    "vc-stalling-leader": _attach(StallNewView),
+    "vc-equivocator": _attach(EquivocateViewChange),
+    "nv-equivocator": _attach(EquivocateNewView),
+    "cop-equivocator": _attach(
+        EquivocatePrePrepare, group=COP_BYZANTINE_GROUP
+    ),
+    "compromised-rkey": _memory_attacker,
+    "rogue-overwrite": _memory_attacker,
+    "perm-race": _memory_attacker,
 }
 
 
@@ -82,6 +105,21 @@ class FaultAction:
 # Each applier runs inside a simulation process at its action's time.
 # They only flip switches (controllers, byzantine arms); everything the
 # switch causes stays inside the simulated protocol.
+
+
+def _fault(pipeline: Replica, kind: Type[Fault]) -> Fault:
+    """The ``kind`` fault attached to ``pipeline``."""
+    for fault in pipeline.faults:
+        if isinstance(fault, kind):
+            return fault
+    raise ScenarioError(
+        f"{pipeline.replica_id} (group {pipeline.group}) carries no "
+        f"{kind.__name__} fault"
+    )
+
+
+def _victims(action: FaultAction):
+    return set(action.args[0]) if action.args else None
 
 def _apply_crash(cluster: BftCluster, action: FaultAction) -> None:
     cluster.crash_replica(action.target)
@@ -111,55 +149,52 @@ def _apply_loss(cluster: BftCluster, action: FaultAction) -> None:
 
 
 def _apply_go_silent(cluster: BftCluster, action: FaultAction) -> None:
-    cluster.replica(action.target).go_silent()
+    _fault(cluster.replica(action.target), FailSilent).arm()
 
 
 def _apply_equivocate(cluster: BftCluster, action: FaultAction) -> None:
-    victims = set(action.args[0]) if action.args else None
-    cluster.replica(action.target).start_equivocating(victims)
+    fault = _fault(cluster.replica(action.target), EquivocatePrePrepare)
+    fault.arm(_victims(action))
 
 
 def _apply_corrupt(cluster: BftCluster, action: FaultAction) -> None:
-    cluster.replica(action.target).start_corrupting()
+    _fault(cluster.replica(action.target), CorruptVotes).arm()
 
 
 def _apply_vc_stall(cluster: BftCluster, action: FaultAction) -> None:
     crash = bool(action.args[0]) if action.args else False
-    cluster.replica(action.target).arm_stall(crash_on_new_view=crash)
+    fault = _fault(cluster.replica(action.target), StallNewView)
+    fault.arm(crash_on_new_view=crash)
 
 
 def _apply_vc_equivocate(cluster: BftCluster, action: FaultAction) -> None:
-    victims = set(action.args[0]) if action.args else None
-    cluster.replica(action.target).arm_vote_equivocation(victims)
+    fault = _fault(cluster.replica(action.target), EquivocateViewChange)
+    fault.arm(_victims(action))
 
 
 def _apply_nv_equivocate(cluster: BftCluster, action: FaultAction) -> None:
-    victims = set(action.args[0]) if action.args else None
-    cluster.replica(action.target).arm_new_view_equivocation(victims)
+    fault = _fault(cluster.replica(action.target), EquivocateNewView)
+    fault.arm(_victims(action))
 
 
 def _apply_cop_equivocate(cluster: BftCluster, action: FaultAction) -> None:
-    victims = (
-        set(action.args[0]) if action.args and action.args[0] else None
-    )
-    group = action.args[1] if len(action.args) > 1 else None
-    cluster.replica(action.target).arm_group_equivocation(
-        victims, group=group
-    )
+    group = action.args[1] if len(action.args) > 1 else COP_BYZANTINE_GROUP
+    pipeline = cluster.replica(action.target).group_pipelines()[group]
+    _fault(pipeline, EquivocatePrePrepare).arm(_victims(action) or None)
 
 
 def _apply_compromise_rkey(cluster: BftCluster, action: FaultAction) -> None:
     victims = tuple(action.args[0]) if action.args else None
-    cluster.replica(action.target).arm_compromise(0.0, victims=victims)
+    compromise_rkey(cluster.replica(action.target), 0.0, victims=victims)
 
 
 def _apply_rogue_overwrite(cluster: BftCluster, action: FaultAction) -> None:
     victims = tuple(action.args[0]) if action.args else None
-    cluster.replica(action.target).arm_rogue_overwrite(0.0, victims=victims)
+    rogue_overwrite(cluster.replica(action.target), 0.0, victims=victims)
 
 
 def _apply_perm_race(cluster: BftCluster, action: FaultAction) -> None:
-    cluster.replica(action.target).arm_permission_race(0.0)
+    permission_race(cluster.replica(action.target), 0.0)
 
 
 #: The explorable fault catalog: every composable fault kind.
@@ -195,7 +230,7 @@ class ScenarioSpec:
     #: Simulated seconds the run advances after the last request is
     #: submitted (faults later than this never fire).
     run_time: float = 120e-3
-    #: Replica id -> BYZANTINE_CATALOG key.
+    #: (replica id, BYZANTINE_CATALOG key) pairs.
     byzantine: Tuple[Tuple[str, str], ...] = ()
     faults: Tuple[FaultAction, ...] = ()
     num_clients: int = 1
@@ -222,7 +257,7 @@ class ScenarioSpec:
         for _, kind in self.byzantine:
             if kind not in BYZANTINE_CATALOG:
                 raise ScenarioError(
-                    f"scenario {self.name!r}: unknown byzantine class {kind!r}"
+                    f"scenario {self.name!r}: unknown byzantine kind {kind!r}"
                 )
 
     def bft_config(self) -> BftConfig:
@@ -309,24 +344,18 @@ def _fault_proc(env, cluster: BftCluster, action: FaultAction, applied: list):
 def run_scenario(
     spec: ScenarioSpec,
     policy=None,
-    mutant: Optional[Type[Replica]] = None,
+    mutant: Optional[Callable[[Replica], None]] = None,
     dump_dir: Optional[str] = None,
 ) -> ScenarioOutcome:
     """Run ``spec`` once under ``policy`` and score it.
 
-    ``mutant`` replaces the *correct* replicas' class (a buggy build
-    deployed fleet-wide); deliberately Byzantine members keep their
-    scenario-assigned classes.  The audit manager is created expecting
+    ``mutant`` patches every *correct* replica (a buggy build deployed
+    fleet-wide); deliberately Byzantine members carry only their
+    scenario-assigned faults.  The audit manager is created expecting
     violations — the explorer, not the test-suite conformance fixture,
     is the judge here — and released from the active-audit list before
     returning so long sweeps stay bounded.
     """
-    replica_classes: Dict[str, Type[Replica]] = {
-        rid: BYZANTINE_CATALOG[kind] for rid, kind in spec.byzantine
-    }
-    if mutant is not None:
-        for rid in spec.correct_replicas():
-            replica_classes[rid] = mutant
     manager = AuditManager(
         config=AuditConfig(ring_size=2048, max_postmortems=8),
         name=f"explore:{spec.name}",
@@ -336,11 +365,15 @@ def run_scenario(
         transport=spec.transport,
         config=spec.bft_config(),
         rubin_config=spec.rubin_config(),
-        replica_classes=replica_classes,
         num_clients=spec.num_clients,
         faulty_fabric=True,
         audit=manager,
     )
+    for rid, kind in spec.byzantine:
+        BYZANTINE_CATALOG[kind](cluster.replica(rid))
+    if mutant is not None:
+        for rid in spec.correct_replicas():
+            mutant(cluster.replica(rid))
     env = cluster.env
     if policy is not None:
         env.set_tiebreak(policy)

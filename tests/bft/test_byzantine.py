@@ -1,14 +1,14 @@
-"""Byzantine replica behaviours: the group must tolerate f = 1 traitor."""
+"""Byzantine replica faults: the group must tolerate f = 1 traitor."""
 
 import pytest
 
 from repro.bft import (
     BftCluster,
     BftConfig,
-    CorruptingReplica,
+    CorruptVotes,
     CounterMachine,
-    EquivocatingLeader,
-    SilentReplica,
+    EquivocatePrePrepare,
+    FailSilent,
 )
 
 
@@ -25,14 +25,14 @@ def make_cluster(**kwargs):
 
 class TestCorruptingBackup:
     def test_corrupt_votes_do_not_block_progress(self):
-        cluster = make_cluster(replica_classes={"r2": CorruptingReplica})
-        cluster.replica("r2").start_corrupting()
+        cluster = make_cluster()
+        cluster.replica("r2").add_fault(CorruptVotes()).arm()
         for i in range(5):
             assert cluster.invoke_and_wait(f"PUT k{i}=v".encode()) == b"OK"
 
     def test_corrupt_votes_never_count_toward_quorums(self):
-        cluster = make_cluster(replica_classes={"r2": CorruptingReplica})
-        cluster.replica("r2").start_corrupting()
+        cluster = make_cluster()
+        cluster.replica("r2").add_fault(CorruptVotes()).arm()
         cluster.invoke_and_wait(b"PUT a=1")
         cluster.run_for(10e-3)
         # Honest replicas committed with honest votes only: none of their
@@ -47,11 +47,8 @@ class TestCorruptingBackup:
                     assert vote.digest != slot.pre_prepare.digest
 
     def test_honest_state_unaffected(self):
-        cluster = make_cluster(
-            replica_classes={"r1": CorruptingReplica},
-            app_factory=CounterMachine,
-        )
-        cluster.replica("r1").start_corrupting()
+        cluster = make_cluster(app_factory=CounterMachine)
+        cluster.replica("r1").add_fault(CorruptVotes()).arm()
         for _ in range(4):
             cluster.invoke_and_wait(CounterMachine.add(5))
         cluster.run_for(10e-3)
@@ -61,8 +58,8 @@ class TestCorruptingBackup:
 
 class TestEquivocation:
     def test_equivocating_values_never_commit_on_honest_replicas(self):
-        cluster = make_cluster(replica_classes={"r0": EquivocatingLeader})
-        cluster.replica("r0").start_equivocating()
+        cluster = make_cluster()
+        cluster.replica("r0").add_fault(EquivocatePrePrepare()).arm()
         result = cluster.invoke_and_wait(b"PUT target=true")
         assert result == b"OK"
         cluster.run_for(20e-3)
@@ -74,9 +71,9 @@ class TestEquivocation:
     def test_forged_batches_rejected_by_digest_check(self):
         """Victims of the equivocation see digest-mismatching batches and
         must drop them rather than vote."""
-        cluster = make_cluster(replica_classes={"r0": EquivocatingLeader})
-        leader = cluster.replica("r0")
-        leader.start_equivocating(victims={"r1"})
+        cluster = make_cluster()
+        equivocation = cluster.replica("r0").add_fault(EquivocatePrePrepare())
+        equivocation.arm(victims={"r1"})
         cluster.invoke_and_wait(b"PUT check=digest")
         cluster.run_for(20e-3)
         # r1 received a forged batch whose digest matches its contents
@@ -90,28 +87,24 @@ class TestEquivocation:
 class TestCrashRecoveryMatrix:
     @pytest.mark.parametrize("victim", ["r1", "r2", "r3"])
     def test_any_single_backup_crash_tolerated(self, victim):
-        cluster = make_cluster(
-            replica_classes={victim: SilentReplica},
-        )
-        cluster.replica(victim).go_silent()
+        cluster = make_cluster()
+        cluster.replica(victim).add_fault(FailSilent()).arm()
         assert cluster.invoke_and_wait(b"PUT who=cares") == b"OK"
 
     def test_two_crashes_exceed_f_and_block(self):
         """f = 1: two silent replicas must stall the service (safety
         over liveness) — no spurious results may be produced."""
-        cluster = make_cluster(
-            replica_classes={"r2": SilentReplica, "r3": SilentReplica},
-        )
-        cluster.replica("r2").go_silent()
-        cluster.replica("r3").go_silent()
+        cluster = make_cluster()
+        cluster.replica("r2").add_fault(FailSilent()).arm()
+        cluster.replica("r3").add_fault(FailSilent()).arm()
         event = cluster.client().invoke(b"PUT never=committed")
         cluster.run_for(200e-3)
         assert not event.triggered
 
     def test_view_change_cascade_until_honest_leader(self):
         """With r0 silent from the start, view 1 (led by r1) takes over."""
-        cluster = make_cluster(replica_classes={"r0": SilentReplica})
-        cluster.replica("r0").go_silent()
+        cluster = make_cluster()
+        cluster.replica("r0").add_fault(FailSilent()).arm()
         assert cluster.invoke_and_wait(b"PUT first=requests") == b"OK"
         views = {r.view for r in cluster.replicas.values() if r.replica_id != "r0"}
         assert views == {1}

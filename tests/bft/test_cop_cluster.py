@@ -5,8 +5,7 @@ import pytest
 from repro.bft import (
     BftCluster,
     BftConfig,
-    CopGroupEquivocator,
-    CopReplica,
+    EquivocatePrePrepare,
 )
 from repro.rubin import RubinConfig
 
@@ -123,11 +122,11 @@ class TestMultiGroupRecovery:
 
 class TestByzantineGroupMember:
     def test_group_equivocator_cannot_split_merged_state(self):
-        cluster = make_cop_cluster(
-            replica_classes={"r1": CopGroupEquivocator},
-        )
+        cluster = make_cop_cluster()
+        group_one = cluster.replica("r1").group_pipelines()[1]
+        equivocation = group_one.add_fault(EquivocatePrePrepare())
         cluster.invoke_and_wait(b"PUT honest=1")
-        cluster.replica("r1").arm_group_equivocation()
+        equivocation.arm()
         for i in range(12):
             cluster.invoke_and_wait(f"PUT k{i}=v{i}".encode())
         cluster.run_for(80e-3)
@@ -145,10 +144,9 @@ class TestByzantineGroupMember:
             )
 
     def test_group_tagged_equivocation_detected(self):
-        cluster = make_cop_cluster(
-            replica_classes={"r1": CopGroupEquivocator},
-        )
-        cluster.replica("r1").arm_group_equivocation(group=1)
+        cluster = make_cop_cluster()
+        group_one = cluster.replica("r1").group_pipelines()[1]
+        group_one.add_fault(EquivocatePrePrepare()).arm()
         # Keep submitting until some request routes through group 1's
         # pipeline while r1 leads it in view 0 (r1 leads group 1:
         # leader_of(0) = all_ids[(0 + 1) % 4]).
@@ -162,4 +160,7 @@ class TestByzantineGroupMember:
             for v in cluster.audit.violations
             if v.rule == "bft.pre-prepare-equivocation"
         ]
-        assert any(dict(v.detail).get("group") == 1 for v in tagged)
+        # The fault sits on group 1's pipeline only: no other group of the
+        # same host may equivocate.
+        assert tagged
+        assert all(dict(v.detail).get("group") == 1 for v in tagged)

@@ -1,31 +1,22 @@
-"""COP degenerate-case fingerprints: ``group_count=1`` moves no event.
+"""COP fingerprints: the echo figures stay put and G=4 is pinned.
 
-The consensus-oriented parallelization subsystem (``repro.bft.cop``)
-promises an *exact* degenerate case: with one consensus group the
-``CopReplica``/``CopClient`` classes must schedule the very same agenda
-entries, in the same order, as the sequential ``Replica``/``BftClient``
-they wrap.  These tests replay the pinned schedule fingerprints from
-``test_fastpath_determinism`` through the COP classes — a digest
-mismatch means some COP override created, delayed or reordered an event
-at G=1.
-
-A fifth digest pins the G=4 multi-group chaos schedule itself, so COP
+``BftCluster`` builds ``CopReplica``/``CopClient`` for every deployment,
+so the pinned G=1 schedules of ``test_fastpath_determinism`` (chaos,
+overload) already run through the COP classes: a COP override that
+created, delayed or reordered an event at ``group_count=1`` fails there.
+This module keeps the echo figures' fingerprints with the COP subsystem
+loaded and pins the G=4 multi-group chaos schedule itself, so COP
 changes that reshuffle the parallel pipelines are caught the same way.
 """
 
-import hashlib
-
 from repro.bench.echo import run_echo
-from repro.bench.overload import run_overload
 from repro.bench.selector_echo import reptor_echo
-from repro.bft import BftCluster, BftConfig, CopClient, CopReplica
+from repro.bft import BftCluster, BftConfig
 from repro.rubin import RubinConfig
 
 from tests.sim.test_fastpath_determinism import (
-    CHAOS_DIGEST,
     FIG3_POINT_DIGEST,
     FIG4_POINT_DIGEST,
-    OVERLOAD_DIGEST,
     _digest,
     _echo_fingerprint,
 )
@@ -52,8 +43,6 @@ def _chaos_run(group_count: int, settle_s: float, tail_s: float) -> str:
         ),
         rubin_config=RubinConfig(retry_timeout=1e-3, retry_count=3),
         faulty_fabric=True,
-        default_replica_class=CopReplica,
-        client_class=CopClient,
     )
     cluster.start()
     times = []
@@ -70,14 +59,10 @@ def _chaos_run(group_count: int, settle_s: float, tail_s: float) -> str:
     cluster.invoke_and_wait(b"PUT after=rejoin")
     times.append(round(cluster.env.now, 12))
     cluster.run_for(tail_s)
-    if group_count == 1:
-        positions = sorted(cluster.executed_sequences().items())
-    else:
-        positions = sorted(cluster.merged_positions().items())
     return _digest(
         (
             times,
-            positions,
+            sorted(cluster.merged_positions().items()),
             sorted((k, v.hex()) for k, v in cluster.state_digests().items()),
         )
     )
@@ -93,30 +78,6 @@ def test_fig4_point_unchanged_with_cop_loaded():
     """The Fig-4 selector-echo schedule is untouched by the COP subsystem."""
     result = reptor_echo("rubin", 20 * 1024, 30)
     assert _echo_fingerprint(result) == FIG4_POINT_DIGEST
-
-
-def test_chaos_schedule_bit_identical_at_group_count_one():
-    """CopReplica/CopClient at G=1 replay the pinned sequential chaos run."""
-    assert _chaos_run(1, 400e-3, 100e-3) == CHAOS_DIGEST
-
-
-def test_overload_schedule_bit_identical_at_group_count_one():
-    """The overload scenario is bit-identical under the COP classes."""
-    record = run_overload(
-        default_replica_class=CopReplica, client_class=CopClient
-    )
-    fingerprint = _digest(
-        (
-            sorted(
-                (k, round(v, 6)) for k, v in record["latency_us"].items()
-            ),
-            round(record["duration_s"], 12),
-            record["shed_total"],
-            record["busy_backoffs"],
-            record["retransmissions"],
-        )
-    )
-    assert fingerprint == OVERLOAD_DIGEST
 
 
 def test_chaos_schedule_pinned_at_group_count_four():

@@ -6,6 +6,10 @@ required to push exactly the same agenda entries in the same order as the
 generator-based code it replaced.  These tests pin sha256 digests of
 modeled results captured before any of those optimizations landed; a
 mismatch means an optimization changed the schedule, not just host time.
+
+The BFT runs (chaos, overload) go through ``CopReplica``/``CopClient`` at
+``group_count=1`` — the classes ``BftCluster`` builds for every
+deployment — so they also pin COP's exact degenerate case.
 """
 
 import hashlib
